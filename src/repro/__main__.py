@@ -10,9 +10,9 @@ Commands:
 * ``serve`` — run the long-lived spanner construction service (the
   cached, parallel HTTP serving layer in :mod:`repro.service`).
 * ``mobility`` — drive a seeded random-waypoint trace through a
-  maintenance policy: the paper's break-triggered full rebuild, the
-  localized-repair extension, or the incremental maintenance engine
-  (:mod:`repro.incremental`, with the rebuild-equivalence tripwire).
+  maintenance policy: the paper's break-triggered full rebuild or the
+  incremental maintenance engine (:mod:`repro.incremental`, with the
+  rebuild-equivalence tripwire).
 * ``experiments`` — regenerate the paper's tables/figures (delegates
   to :mod:`repro.experiments.harness`).
 * ``validate`` — run the declarative invariant matrix over the
@@ -254,7 +254,6 @@ def cmd_mobility(args: argparse.Namespace) -> int:
         speed=args.speed,
         pause=args.pause,
         seed=trace_seed,
-        policy=args.policy,
     )
     print(
         f"{args.policy} session: {len(result.steps)} steps, "
@@ -376,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="mobility RNG seed (defaults to --seed)",
     )
     p_mob.add_argument(
-        "--policy", choices=("full", "local", "incremental"), default="full",
+        "--policy", choices=("full", "incremental"), default="full",
         help="maintenance strategy driven by the trace",
     )
     p_mob.add_argument(

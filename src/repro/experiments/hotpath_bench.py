@@ -47,7 +47,6 @@ from typing import Optional, Sequence
 
 from repro.core.spanner import build_backbone
 from repro.graphs.udg import UnitDiskGraph
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import local_delaunay_graph, planarize_ldel1
 from repro.workloads.generators import connected_udg_instance
@@ -125,21 +124,19 @@ def measure_size(
     seed: int = DEFAULT_SEED,
     reps: int = 1,
 ) -> dict:
-    """Stage timings, edge counts, and cache counters for one size.
+    """Stage timings and edge counts for one size.
 
     The deployment is sampled once (``connected_udg_instance`` with a
     size-derived side, so density stays constant across ``n``); each
     stage is timed ``reps`` times and the minimum kept — the usual
     guard against scheduler noise.  Edge counts are recorded so a
     baseline comparison can assert the optimized pipeline still builds
-    the *same* graphs, and the construction-cache counters quantify how
-    much work the cache absorbed.
+    the *same* graphs.
     """
     side = 10.0 * math.sqrt(n)
     dep = connected_udg_instance(n, side, radius, random.Random(seed))
     seconds: dict[str, float] = {}
     edges: dict[str, int] = {}
-    counters: dict[str, int] = {}
 
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
@@ -150,13 +147,12 @@ def measure_size(
         gg = gabriel_graph(udg)
         t_gg = time.perf_counter() - t0
 
-        cache = ConstructionCache(udg)
         t0 = time.perf_counter()
-        ldel1 = local_delaunay_graph(udg, k=1, cache=cache)
+        ldel1 = local_delaunay_graph(udg, k=1)
         t_ldel1 = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pldel = planarize_ldel1(udg, ldel1, cache=cache)
+        pldel = planarize_ldel1(udg, ldel1)
         t_plan = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -180,12 +176,10 @@ def measure_size(
             "pldel": pldel.graph.edge_count,
             "backbone": backbone.ldel_icds.edge_count,
         }
-        counters = cache.snapshot()
 
     return {
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "edges": edges,
-        "counters": counters,
     }
 
 
@@ -341,8 +335,8 @@ def measure_sharded(
     """Serial vs sharded PLDel at one size: timings and bit-identity.
 
     ``serial`` is the single-process pipeline
-    (:func:`~repro.topology.ldel.planar_local_delaunay_graph` with
-    ``parallel=False``); ``sharded`` is the tiled build from
+    (:func:`~repro.topology.ldel.planar_local_delaunay_graph`);
+    ``sharded`` is the tiled build from
     :mod:`repro.sharding` on the same deployment.  ``edges_match`` is
     the tripwire: the stitch must reproduce the serial edge set
     bit-for-bit, or the speedup is meaningless.
@@ -360,7 +354,7 @@ def measure_sharded(
     for _ in range(max(1, reps)):
         udg = UnitDiskGraph(points, dep.radius)
         t0 = time.perf_counter()
-        serial_result = planar_local_delaunay_graph(udg, parallel=False)
+        serial_result = planar_local_delaunay_graph(udg)
         serial_s = min(serial_s, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
@@ -449,12 +443,11 @@ def measure_soa(
         t0 = time.perf_counter()
         gg = gabriel_graph(udg)
         seconds["gabriel"] = time.perf_counter() - t0
-        cache = ConstructionCache(udg)
         t0 = time.perf_counter()
-        ldel1 = local_delaunay_graph(udg, k=1, cache=cache)
+        ldel1 = local_delaunay_graph(udg, k=1)
         seconds["ldel1"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        pldel = planarize_ldel1(udg, ldel1, cache=cache)
+        pldel = planarize_ldel1(udg, ldel1)
         seconds["planarize"] = time.perf_counter() - t0
         seconds["pldel"] = seconds["ldel1"] + seconds["planarize"]
         seconds["end_to_end"] = seconds["udg"] + seconds["pldel"]
@@ -520,12 +513,11 @@ def measure_soa_scale(
     t0 = time.perf_counter()
     udg = UnitDiskGraph(points, dep.radius)
     t_udg = time.perf_counter() - t0
-    cache = ConstructionCache(udg)
     t0 = time.perf_counter()
-    ldel1 = local_delaunay_graph(udg, k=1, cache=cache)
+    ldel1 = local_delaunay_graph(udg, k=1)
     t_ldel1 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    pldel = planarize_ldel1(udg, ldel1, cache=cache)
+    pldel = planarize_ldel1(udg, ldel1)
     t_plan = time.perf_counter() - t0
     return {
         "n": n,

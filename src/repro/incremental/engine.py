@@ -46,6 +46,7 @@ from repro.incremental.connectors import IncrementalConnectors
 from repro.incremental.events import Event
 from repro.incremental.pldel import IncrementalPLDel
 from repro.incremental.udg import DynamicUdg
+from repro.protocols.cds import induced_udg_subgraph
 from repro.protocols.clustering import ClusteringOutcome
 from repro.sharding.tiles import stage_halo
 from repro.sim.stats import MessageStats
@@ -186,13 +187,9 @@ class IncrementalMaintainer:
         icds_unchanged: bool,
     ) -> None:
         if not icds_unchanged:
-            adjacency = self.udg.adjacency
-            icds = set()
-            for b in backbone:
-                for w in adjacency[b]:
-                    if w > b and w in backbone:
-                        icds.add((b, w))
-            self._icds_edges = frozenset(icds)
+            self._icds_edges = induced_udg_subgraph(
+                self.udg, backbone, "ICDS"
+            ).edge_set()
         prime = set(ldel_edges)
         for w, doms in self._doms_of.items():
             for d in doms:

@@ -15,7 +15,6 @@ from repro.mobility.session import (
     SessionStep,
     run_mobility_session,
 )
-from repro.mobility.local_repair import RepairReport, localized_repair
 
 __all__ = [
     "RandomWaypointModel",
@@ -24,6 +23,4 @@ __all__ = [
     "SessionResult",
     "SessionStep",
     "run_mobility_session",
-    "RepairReport",
-    "localized_repair",
 ]

@@ -75,30 +75,27 @@ def run_mobility_session(
     pause: float = 2.0,
     probe_pairs: Optional[Sequence[tuple[int, int]]] = None,
     seed: int = 0,
-    policy: str = "full",
 ) -> SessionResult:
     """Run a random-waypoint session with maintenance and probing.
 
     ``probe_pairs`` are (source, target) routing checks performed on
     the *current* backbone after every update; defaults to three
-    deterministic long-range pairs.  ``policy`` selects the
-    maintenance strategy: ``"full"`` (the paper's break-triggered full
-    rebuild) or ``"local"`` (the localized-repair extension, which
-    also reports smaller effective churn).  ``pause`` caps the
-    per-trip waypoint pause time.
+    deterministic long-range pairs.  Maintenance is the paper's
+    break-triggered full rebuild (the exact incremental engine is
+    :func:`repro.incremental.session.run_incremental_session`).
+    ``pause`` caps the per-trip waypoint pause time.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if policy not in ("full", "local"):
-        raise ValueError(f"unknown maintenance policy {policy!r}")
     n = len(deployment.points)
     if probe_pairs is None:
         probe_pairs = [(0, n - 1), (1, n // 2), (n // 3, n - 2)]
     probe_pairs = [(s, t) for s, t in probe_pairs if s != t]
 
     rng = random.Random(seed)
-    result = build_backbone(deployment.points, deployment.radius)
-    maintainer = BackboneMaintainer(result)
+    maintainer = BackboneMaintainer(
+        build_backbone(deployment.points, deployment.radius)
+    )
     model = RandomWaypointModel(
         list(deployment.points),
         deployment.side,
@@ -108,52 +105,21 @@ def run_mobility_session(
     )
 
     records: list[SessionStep] = []
-    current = result
     for _ in range(steps):
-        positions = model.step(dt)
-        if policy == "full":
-            report = maintainer.update(positions)
-            current = maintainer.result
-            step_record = SessionStep(
+        report = maintainer.update(model.step(dt))
+        routable = sum(
+            backbone_route(maintainer.result, s, t).delivered
+            for s, t in probe_pairs
+        )
+        records.append(
+            SessionStep(
                 time=model.time,
                 broken_links=len(report.broken_links),
                 rebuilt=report.rebuilt,
                 edge_retention=report.edge_retention,
                 role_changes=len(report.role_changes),
-                routable_probes=0,
-                total_probes=len(probe_pairs),
-            )
-        else:
-            from repro.mobility.local_repair import localized_repair
-
-            old_edges = current.ldel_icds_prime.edge_set()
-            repair = localized_repair(current, positions)
-            current = repair.result
-            new_edges = current.ldel_icds_prime.edge_set()
-            retention = (
-                len(old_edges & new_edges) / len(old_edges) if old_edges else 1.0
-            )
-            step_record = SessionStep(
-                time=model.time,
-                broken_links=len(repair.changed_nodes),
-                rebuilt=bool(repair.changed_nodes),
-                edge_retention=retention,
-                role_changes=len(repair.role_changes),
-                routable_probes=0,
-                total_probes=len(probe_pairs),
-            )
-        routable = sum(
-            backbone_route(current, s, t).delivered for s, t in probe_pairs
-        )
-        records.append(
-            SessionStep(
-                time=step_record.time,
-                broken_links=step_record.broken_links,
-                rebuilt=step_record.rebuilt,
-                edge_retention=step_record.edge_retention,
-                role_changes=step_record.role_changes,
                 routable_probes=routable,
-                total_probes=step_record.total_probes,
+                total_probes=len(probe_pairs),
             )
         )
     return SessionResult(steps=tuple(records))

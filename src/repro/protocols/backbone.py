@@ -61,25 +61,20 @@ def run_backbone_pipeline(
     *,
     priority: Optional[PriorityFn] = None,
     election: str = "smallest-id",
-    clustering=None,
     mode: str = "protocol",
 ) -> BackbonePipelineResult:
     """Build the planar spanner backbone over ``udg``.
 
-    ``clustering`` injects a precomputed (e.g. locally repaired)
-    clustering outcome instead of running the election.  ``mode="fast"``
-    swaps every protocol replay (election, connectors, LDel) for the
-    direct fixed-point computation — bit-identical results, an order of
-    magnitude faster at benchmark sizes.
+    ``mode="fast"`` swaps every protocol replay (election, connectors,
+    LDel) for the direct fixed-point computation — bit-identical
+    results, an order of magnitude faster at benchmark sizes.
     """
     if election not in ELECTIONS:
         raise ValueError(f"unknown election {election!r}; known: {ELECTIONS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
     cds_started = time.perf_counter()
-    family = build_cds_family(
-        udg, priority=priority, election=election, clustering=clustering, mode=mode
-    )
+    family = build_cds_family(udg, priority=priority, election=election, mode=mode)
 
     # Ledger boundaries: the Status broadcast belongs to the ICDS
     # stage, so subtract it for the CDS-only view.

@@ -6,8 +6,8 @@ Definitions (paper Section III-A/B):
   connector elections certified (the backbone);
 * **CDS'** — CDS plus every dominatee-to-dominator edge (the extended
   backbone every node can reach);
-* **ICDS** — the unit disk graph *induced* on the CDS node set (all
-  links of length at most the radius between backbone nodes);
+* **ICDS** — the unit disk graph *induced* on the CDS node set (every
+  radio link between two backbone nodes);
 * **ICDS'** — ICDS plus every dominatee-to-dominator edge.
 
 Building ICDS/ICDS' after CDS costs one extra broadcast per node — the
@@ -19,9 +19,9 @@ communication benchmarks reproduce the paper's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Protocol
 
-from repro.geometry.primitives import dist_sq
+from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.clustering import (
@@ -74,16 +74,27 @@ def _dominatee_edges(clustering: ClusteringOutcome) -> list[tuple[int, int]]:
     return edges
 
 
-def induced_udg_subgraph(udg: UnitDiskGraph, nodes: frozenset[int], name: str) -> Graph:
-    """UDG links among ``nodes`` (original node ids, full vertex set)."""
+class RadioLinks(Protocol):
+    """What ICDS induction reads: a :class:`UnitDiskGraph` or the
+    incremental engine's dynamic adjacency."""
+
+    positions: list[Point]
+
+    def neighbors(self, u: int) -> frozenset[int]: ...
+
+
+def induced_udg_subgraph(udg: RadioLinks, nodes: frozenset[int], name: str) -> Graph:
+    """Radio links among ``nodes`` (original node ids, full vertex set).
+
+    The graph's own adjacency decides, never the distance rule: after
+    the Status broadcast each backbone node keeps its links to the
+    backbone neighbors it hears, O(degree) work per node.  On a
+    quasi-UDG the dropped gray-zone links therefore stay dropped.
+    """
     graph = Graph(udg.positions, name=name)
-    members = sorted(nodes)
-    r_sq = udg.radius * udg.radius
-    for i, u in enumerate(members):
-        pu = udg.positions[u]
-        for v in members[i + 1 :]:
-            if dist_sq(pu, udg.positions[v]) <= r_sq:
-                graph.add_edge(u, v)
+    graph.add_edges_bulk(
+        (u, v) for u in nodes for v in udg.neighbors(u) if u < v and v in nodes
+    )
     return graph
 
 

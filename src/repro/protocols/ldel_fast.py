@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.geometry.circle import circumcircle
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.ldel_protocol import LDelProtocolOutcome, Triangle
@@ -47,7 +48,6 @@ from repro.sim.messages import (
     STRUCTURE,
 )
 from repro.sim.stats import MessageStats
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import LDelResult, _node_candidates, planarize_ldel1
 
@@ -58,18 +58,15 @@ def fast_ldel_protocol(
     udg: UnitDiskGraph,
     *,
     stats: Optional[MessageStats] = None,
-    cache: Optional[ConstructionCache] = None,
 ) -> LDelProtocolOutcome:
     """Compute the LDel protocol's fixed point directly.
 
     Bit-identical to
     :func:`~repro.protocols.ldel_protocol.run_ldel_protocol` on every
-    field.  Pass a shared ``cache`` to reuse neighborhoods and
-    circumcircles with surrounding construction stages.
+    field.
     """
     ledger = stats if stats is not None else MessageStats()
     n = udg.node_count
-    cache = ConstructionCache.for_udg(udg, cache)
     pos = udg.positions
     r_sq = udg.radius * udg.radius
 
@@ -78,7 +75,7 @@ def fast_ldel_protocol(
     proposers: dict[Triangle, set[int]] = {}
     for u in udg.nodes():
         ledger.record(u, LOCATION)
-        local = sorted(cache.k_hop(u, 1))
+        local = sorted(udg.k_hop_neighborhood(u, 1))
         cands = set(_node_candidates(pos, r_sq, u, local))
         if cands:
             ledger.record(u, PROPOSAL, len(cands))
@@ -91,7 +88,7 @@ def fast_ldel_protocol(
     # positive (proposing counts as accepting).
     accepted: list[Triangle] = []
     for t in sorted(proposers):
-        circle = cache.circumcircle_of(t)
+        circle = circumcircle(pos[t[0]], pos[t[1]], pos[t[2]])
         verdict_all = True
         for v in t:
             if v in proposers[t]:
@@ -112,14 +109,14 @@ def fast_ldel_protocol(
         ledger.record(u, STRUCTURE)
         ledger.record(u, KEPT)
 
-    gabriel = gabriel_graph(udg, cache=cache)
+    gabriel = gabriel_graph(udg)
     ldel1 = LDelResult(
         graph=Graph(udg.positions, gabriel.edges(), name="LDel1"),
         triangles=tuple(accepted),
         gabriel_edges=gabriel.edge_set(),
         k=1,
     )
-    pruned = planarize_ldel1(udg, ldel1, cache=cache)
+    pruned = planarize_ldel1(udg, ldel1)
     graph = Graph(udg.positions, pruned.graph.edges(), name="PLDel")
     return LDelProtocolOutcome(
         graph=graph,

@@ -26,7 +26,6 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.backbone import ELECTIONS
 from repro.protocols.cds import MODES
 from repro.topology.beta_skeleton import beta_skeleton
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.delaunay_udg import unit_delaunay_graph
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.greedy_spanner import greedy_spanner
@@ -195,32 +194,17 @@ def _flat(name: str, make: Callable[..., Graph]) -> Callable[[Deployment, dict],
     return builder
 
 
-def _construction_extras(cache: ConstructionCache) -> dict:
-    """Cache-effectiveness accounting shipped with LDel build products.
-
-    Travels in ``extras`` so ``POST /build`` responses surface it and
-    the serving layer can fold the counters into ``GET /metrics``.
-    """
-    return {"construction_cache": cache.snapshot()}
-
-
 def _ldel_builder(deployment: Deployment, params: dict) -> BuildProduct:
     udg = deployment.udg()
-    cache = ConstructionCache(udg)
-    result = planar_local_delaunay_graph(udg, cache=cache)
-    extras = _construction_extras(cache)
-    if params.get("measure"):
-        extras.update(_measured_extras(result.graph, udg))
+    result = planar_local_delaunay_graph(udg)
+    extras = _measured_extras(result.graph, udg) if params.get("measure") else {}
     return BuildProduct("ldel", result.graph, extras=extras)
 
 
 def _ldel1_builder(deployment: Deployment, params: dict) -> BuildProduct:
     udg = deployment.udg()
-    cache = ConstructionCache(udg)
-    result = local_delaunay_graph(udg, k=params["k"], cache=cache)
-    extras = _construction_extras(cache)
-    if params.get("measure"):
-        extras.update(_measured_extras(result.graph, udg))
+    result = local_delaunay_graph(udg, k=params["k"])
+    extras = _measured_extras(result.graph, udg) if params.get("measure") else {}
     return BuildProduct("ldel1", result.graph, extras=extras)
 
 

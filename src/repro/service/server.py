@@ -233,17 +233,7 @@ class SpannerService:
         return self.cache.get_or_build(key, construct)
 
     def _record_construction_metrics(self, product: BuildProduct) -> None:
-        """Fold a fresh build's construction-cache counters into metrics.
-
-        LDel-family builders ship a ``construction_cache`` snapshot in
-        their extras (hit/miss counts for the neighborhood and
-        circumcircle layers, triangle-pair statistics); exposing the
-        running totals under ``construction.*`` makes the hot-path
-        cache effectiveness visible on ``GET /metrics``.
-        """
-        counters = product.extras.get("construction_cache")
-        if isinstance(counters, Mapping):
-            self.metrics.merge_counters(dict(counters), prefix="construction.")
+        """Fold a fresh build's stats (sharding, backbone, oracle) into metrics."""
         sharding = product.extras.get("sharding")
         if isinstance(sharding, Mapping):
             self._record_sharding_metrics(sharding)

@@ -67,18 +67,17 @@ from repro.protocols.cds import build_cds_family
 from repro.protocols.clustering import ClusteringOutcome
 from repro.sharding.tiles import TileGrid, stage_halo
 from repro.sim.stats import MessageStats
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 from repro.topology.ldel import (
     LDelResult,
     Triangle,
+    _filter_k_localized,
     _nearby_triangle_pairs,
     _node_candidates,
     _soa_candidate_arrays,
     _soa_filter_k1,
     _triangle_edges,
     _triangles_intersect,
-    is_k_localized_delaunay,
     resolve_degenerate_crossings,
 )
 
@@ -149,7 +148,7 @@ def _box_distance(box: tuple[float, float, float, float], p: Point) -> float:
     return math.hypot(dx, dy)
 
 
-def _soa_phase_a_candidates(udg, cache, box, radius):
+def _soa_phase_a_candidates(udg, box, radius):
     """Vectorized per-tile candidate generation; ``None`` defers to scalar.
 
     Proposer selection replicates the scalar loop exactly: the axis
@@ -176,7 +175,7 @@ def _soa_phase_a_candidates(udg, cache, box, radius):
         for u, (dx, dy) in enumerate(zip(gx.tolist(), gy.tolist()))
         if math.hypot(dx, dy) <= radius
     ]
-    return _soa_candidate_arrays(udg, cache, node_ids=proposers)
+    return _soa_candidate_arrays(udg, node_ids=proposers)
 
 
 def _phase_a(payload: tuple) -> dict:
@@ -204,7 +203,6 @@ def _phase_a(payload: tuple) -> dict:
     t0 = time.perf_counter()
     udg = UnitDiskGraph(pos, radius, name=f"tile{tile_key}")
     seconds["udg"] = time.perf_counter() - t0
-    cache = ConstructionCache(udg)
 
     if "udg" in stages:
         out["udg_edges"] = [
@@ -213,7 +211,7 @@ def _phase_a(payload: tuple) -> dict:
 
     if "gabriel" in stages:
         t0 = time.perf_counter()
-        gg = gabriel_graph(udg, cache=cache)
+        gg = gabriel_graph(udg)
         seconds["gabriel"] = time.perf_counter() - t0
         out["gabriel_edges"] = [
             (gids[u], gids[v]) for u, v in gg.edges() if min(u, v) in core
@@ -222,7 +220,7 @@ def _phase_a(payload: tuple) -> dict:
     if "ldel" in stages:
         r_sq = radius * radius
         t0 = time.perf_counter()
-        cand_arr = _soa_phase_a_candidates(udg, cache, box, radius)
+        cand_arr = _soa_phase_a_candidates(udg, box, radius)
         if cand_arr is not None:
             from repro.core.compat import get_numpy
 
@@ -238,10 +236,8 @@ def _phase_a(payload: tuple) -> dict:
             if fmask is not None:
                 accepted = [tuple(t) for t in owned[fmask].tolist()]
             else:
-                accepted = sorted(
-                    t
-                    for t in map(tuple, owned.tolist())
-                    if is_k_localized_delaunay(udg, t, k, cache)
+                accepted = _filter_k_localized(
+                    udg, map(tuple, owned.tolist()), k
                 )
             seconds["filter"] = time.perf_counter() - t0
             out["accepted"] = [
@@ -255,15 +251,13 @@ def _phase_a(payload: tuple) -> dict:
                 # owned triangle, hence the only useful proposers.
                 if _box_distance(box, pos[u]) > radius:
                     continue
-                local_hood = sorted(cache.k_hop(u, 1))
+                local_hood = sorted(udg.k_hop_neighborhood(u, 1))
                 candidates.update(_node_candidates(pos, r_sq, u, local_hood))
             seconds["candidates"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            accepted = sorted(
-                t
-                for t in candidates
-                if t[0] in core and is_k_localized_delaunay(udg, t, k, cache)
+            accepted = _filter_k_localized(
+                udg, (t for t in candidates if t[0] in core), k
             )
             seconds["filter"] = time.perf_counter() - t0
             out["accepted"] = [
@@ -272,7 +266,6 @@ def _phase_a(payload: tuple) -> dict:
             out["candidates"] = len(candidates)
 
     out["seconds"] = {name: round(v, 6) for name, v in seconds.items()}
-    out["cache"] = cache.snapshot()
     return out
 
 
@@ -502,8 +495,6 @@ def _collect_phase_a(
             }
         )
         stats.count("candidates", res.get("candidates", 0))
-        for name in ("local_delaunay_calls", "khop_misses", "circumcircle_misses"):
-            stats.count(name, res.get("cache", {}).get(name, 0))
     accepted.sort()
     stats.count("udg_edges", len(udg_edges))
     stats.count("gabriel_edges", len(gabriel))

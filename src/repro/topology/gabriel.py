@@ -8,14 +8,9 @@ constant-factor spanner, which the Table I benchmark shows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.geometry.circle import gabriel_disk_empty
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with construction_cache
-    from repro.topology.construction_cache import ConstructionCache
 
 
 def _soa_gabriel_pairs(udg: UnitDiskGraph):
@@ -77,17 +72,14 @@ def _soa_gabriel_pairs(udg: UnitDiskGraph):
     return list(zip(eu[survive].tolist(), ev[survive].tolist()))
 
 
-def gabriel_graph(
-    udg: UnitDiskGraph, *, cache: Optional["ConstructionCache"] = None
-) -> Graph:
+def gabriel_graph(udg: UnitDiskGraph) -> Graph:
     """GG(V) ∩ UDG(V): the Gabriel graph on UDG edges.
 
     A blocker inside the diameter disk of ``uv`` is within ``|uv|`` of
     both endpoints, hence a UDG neighbor of both; the emptiness test is
     local to 1-hop neighborhoods.  With numpy available the whole test
     runs as one ragged-array kernel over the shared SoA snapshot
-    (bit-identical edge set); otherwise a shared ``cache`` (from the
-    LDel pipeline) serves the neighborhoods memoized.
+    (bit-identical edge set); the scalar loop below is its reference.
     """
     gg = Graph(udg.positions, name="GG")
     pos = udg.positions
@@ -95,12 +87,8 @@ def gabriel_graph(
     if pairs is not None:
         gg.add_edges_bulk(pairs)
         return gg
-    if cache is not None and cache.udg is udg:
-        hood = lambda u: cache.k_hop(u, 1)  # noqa: E731 - tiny dispatch shim
-    else:
-        hood = udg.neighbors
     for u, v in udg.edges():
-        witnesses = (hood(u) | hood(v)) - {u, v}
+        witnesses = (udg.neighbors(u) | udg.neighbors(v)) - {u, v}
         if gabriel_disk_empty(pos[u], pos[v], (pos[w] for w in witnesses)):
             gg.add_edge(u, v)
     return gg

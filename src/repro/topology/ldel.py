@@ -21,14 +21,12 @@ protocol (paper Algorithms 2 and 3 verbatim) lives in
 :mod:`repro.protocols.ldel_protocol` and is tested to produce the same
 graph.
 
-Hot-path notes: every stage accepts an optional
-:class:`~repro.topology.construction_cache.ConstructionCache` so
-neighborhoods and circumcircles are computed once per construction,
-and :func:`candidate_triangles` can fan the per-node local
-triangulations out over the batch executor
-(:mod:`repro.service.executor`) with bit-identical output — per-node
-candidate generation is a pure function of the node's 1-hop
-neighborhood, so the union over nodes is order-independent.
+Hot-path notes: with numpy available, candidate generation, the k=1
+filter and the planarization run as batched kernels over the
+deployment's shared SoA snapshot (below), bit-identical to the scalar
+reference path, which is the plain transcription of the definitions
+and runs when numpy is masked out.  The k>=2 filter memoizes ``N_k``
+per call (:func:`_filter_k_localized`); nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -36,22 +34,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from repro.geometry.circle import circumcircle
 from repro.geometry.predicates import segments_cross
 from repro.geometry.primitives import Point, angle_at, dist_sq
 from repro.geometry.triangulation import delaunay
 from repro.graphs.graph import Graph
 from repro.graphs.planarity import crossing_pairs
 from repro.graphs.udg import UnitDiskGraph
-from repro.topology.construction_cache import ConstructionCache
 from repro.topology.gabriel import gabriel_graph
 
 Triangle = tuple[int, int, int]
-
-#: Below this node count the parallel fan-out costs more than it saves
-#: (pool spin-up plus pickling dominates sub-second constructions).
-PARALLEL_MIN_NODES = 600
 
 #: Minimum angle at the proposing vertex (Algorithm 2's 60° rule).
 _MIN_ANGLE = math.pi / 3.0 - 1e-12
@@ -82,7 +76,8 @@ def _node_candidates(
 ) -> list[Triangle]:
     """Triangles node ``u`` proposes from ``Del(N_1(u))``.
 
-    Shared by the serial and parallel paths so both produce the same
+    Shared by the scalar path, the SoA kernel's fallback queries, the
+    sharded build and the LDel protocol oracle, so all produce the same
     triangles by construction.  ``local`` is the sorted 1-hop
     neighborhood of ``u`` (including ``u``).
     """
@@ -203,9 +198,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
 
 
 def _soa_candidate_arrays(
-    udg: UnitDiskGraph,
-    cache: ConstructionCache,
-    node_ids: Optional[Sequence[int]] = None,
+    udg: UnitDiskGraph, node_ids: Optional[Sequence[int]] = None
 ):
     """All candidate triples as a sorted-unique (K, 3) array, or ``None``.
 
@@ -231,7 +224,6 @@ def _soa_candidate_arrays(
     else:
         queries = np.asarray(sorted(node_ids), dtype=np.int64)
     deg = snap.indptr[queries + 1] - snap.indptr[queries]
-    cache.count("local_delaunay_calls", int((deg >= 2).sum()))
     eligible = queries[deg >= 2]  # m = deg + 1 >= 3
 
     parts = []
@@ -259,7 +251,8 @@ def _soa_filter_k1(udg: UnitDiskGraph, tris):
     """Vectorized 1-localized Delaunay filter; bool mask over ``tris``.
 
     Replicates :func:`is_k_localized_delaunay` for ``k=1``: the batched
-    circumcircle (exact-rescued rows identical to the scalar cache's),
+    circumcircle (exact-rescued rows identical to the scalar
+    :func:`~repro.geometry.circle.circumcircle`),
     witnesses ``N_1(u) | N_1(v) | N_1(w)`` minus the corners by id, and
     the same tolerance-shrunk open-disk containment.
     """
@@ -330,7 +323,7 @@ def _soa_triangles_intersect(np, xs, ys, tris, pi, pj):
 
 
 def _soa_planarize(
-    udg: UnitDiskGraph, ldel1: "LDelResult", cache: ConstructionCache
+    udg: UnitDiskGraph, ldel1: "LDelResult"
 ) -> Optional["LDelResult"]:
     """Vectorized Algorithm 3; ``None`` defers to the scalar path."""
     from repro.core.compat import get_numpy
@@ -358,17 +351,14 @@ def _soa_planarize(
         bx1 = np.maximum(np.maximum(xs[u], xs[v]), xs[w])
         by1 = np.maximum(np.maximum(ys[u], ys[v]), ys[w])
         pi, pj = bbox_grid_pairs(np, bx0, by0, bx1, by1, udg.radius)
-        cache.count("triangle_pairs_candidate", int(pi.shape[0]))
         overlap = ~(
             (bx1[pi] < bx0[pj])
             | (bx1[pj] < bx0[pi])
             | (by1[pi] < by0[pj])
             | (by1[pj] < by0[pi])
         )
-        cache.count("triangle_pairs_tested", int(overlap.sum()))
         pi, pj = pi[overlap], pj[overlap]
         inter = _soa_triangles_intersect(np, xs, ys, tris, pi, pj)
-        cache.count("triangle_pairs_intersecting", int(inter.sum()))
         pi, pj = pi[inter], pj[inter]
         for mine, other in ((pi, pj), (pj, pi)):
             hit = np.zeros(pi.shape[0], dtype=bool)
@@ -378,10 +368,6 @@ def _soa_planarize(
                     ccx[mine], ccy[mine], rad[mine], xs[vid], ys[vid]
                 )
             removed[mine[hit & valid[mine]]] = True
-    else:
-        cache.count("triangle_pairs_candidate", 0)
-        cache.count("triangle_pairs_tested", 0)
-        cache.count("triangle_pairs_intersecting", 0)
 
     survivors = tuple(
         t for t, gone in zip(triangles, removed.tolist()) if not gone
@@ -401,28 +387,7 @@ def _soa_planarize(
     )
 
 
-def _candidate_chunk(
-    payload: tuple[Sequence[Point], float, list[tuple[int, list[int]]]]
-) -> list[Triangle]:
-    """Process-pool worker: candidates for a chunk of nodes.
-
-    Module-level and addressed purely by value so it pickles cleanly.
-    """
-    pos, r_sq, items = payload
-    out: list[Triangle] = []
-    for u, local in items:
-        out.extend(_node_candidates(pos, r_sq, u, local))
-    return out
-
-
-def candidate_triangles(
-    udg: UnitDiskGraph,
-    *,
-    cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    executor_mode: str = "process",
-) -> set[Triangle]:
+def candidate_triangles(udg: UnitDiskGraph) -> set[Triangle]:
     """Triangles proposed by the per-node local Delaunay triangulations.
 
     A node generates exactly the triangles Algorithm 2 would have it
@@ -435,111 +400,91 @@ def candidate_triangles(
     protocol also makes tie-breaking identical on exactly-cocircular
     inputs, where "the" local Delaunay triangulation is not unique.
 
-    With numpy available the vectorized SoA kernel handles everything
-    in-process (one lockstep triangulation beats the fan-out), unless
-    ``parallel=True`` explicitly forces the executor path — which, like
-    the serial scalar loop (numpy masked out), remains the
-    bit-identical reference the SoA kernel is tested against.
-    ``parallel=None`` (auto) falls back to the executor for large
-    deployments only when numpy is unavailable.
+    With numpy available the vectorized SoA kernel proposes for every
+    node in one lockstep triangulation; the scalar loop below is the
+    bit-identical reference it is tested against.
     """
-    cache = ConstructionCache.for_udg(udg, cache)
-    r_sq = udg.radius * udg.radius
+    arr = _soa_candidate_arrays(udg)
+    if arr is not None:
+        return set(map(tuple, arr.tolist()))
     pos = udg.positions
-    if parallel is not True:
-        arr = _soa_candidate_arrays(udg, cache)
-        if arr is not None:
-            return set(map(tuple, arr.tolist()))
-    nodes = [(u, sorted(cache.k_hop(u, 1))) for u in udg.nodes()]
-    cache.count("local_delaunay_calls", sum(1 for _, local in nodes if len(local) >= 3))
-
-    if parallel or (parallel is None and len(nodes) >= PARALLEL_MIN_NODES):
-        chunk_results = _parallel_candidates(pos, r_sq, nodes, max_workers, executor_mode)
-        if chunk_results is not None:
-            cache.count("parallel_chunks", len(chunk_results))
-            candidates: set[Triangle] = set()
-            for chunk in chunk_results:
-                candidates.update(chunk)
-            return candidates
-
-    candidates = set()
-    for u, local in nodes:
+    r_sq = udg.radius * udg.radius
+    candidates: set[Triangle] = set()
+    for u in udg.nodes():
+        local = sorted(udg.k_hop_neighborhood(u, 1))
         candidates.update(_node_candidates(pos, r_sq, u, local))
     return candidates
 
 
-def _parallel_candidates(
-    pos: Sequence[Point],
-    r_sq: float,
-    nodes: list[tuple[int, list[int]]],
-    max_workers: Optional[int],
-    executor_mode: str,
-) -> Optional[list[list[Triangle]]]:
-    """Fan node chunks over the executor; ``None`` means "run serially".
-
-    Imported lazily so the topology layer only touches the serving
-    layer when parallelism is actually requested.
-    """
-    from repro.service.executor import default_workers, run_batch
-
-    workers = max_workers or default_workers()
-    if workers < 2:
-        return None
-    chunk_size = max(1, math.ceil(len(nodes) / (workers * 4)))
-    payloads = [
-        (pos, r_sq, nodes[i : i + chunk_size])
-        for i in range(0, len(nodes), chunk_size)
-    ]
-    batch = run_batch(
-        payloads, _candidate_chunk, mode=executor_mode, max_workers=workers
-    )
-    if batch.failed:
-        # A broken pool or pickling failure: the serial path is always
-        # correct, so degrade rather than surface executor internals.
-        return None
-    return batch.values()
-
-
-def is_k_localized_delaunay(
-    udg: UnitDiskGraph,
-    triangle: Triangle,
-    k: int,
-    cache: Optional[ConstructionCache] = None,
+def _circle_empty_of(
+    pos: Sequence[Point], triangle: Triangle, witnesses: Iterable[int]
 ) -> bool:
-    """Whether ``triangle`` satisfies the k-localized Delaunay property."""
-    cache = ConstructionCache.for_udg(udg, cache)
+    """Whether the circumcircle of ``triangle`` holds none of ``witnesses``.
+
+    Corners are never witnesses; a degenerate (collinear) triangle has
+    no circumcircle and fails.
+    """
     u, v, w = triangle
-    pos = udg.positions
-    circle = cache.circumcircle_of(triangle)
+    circle = circumcircle(pos[u], pos[v], pos[w])
     if circle is None:
         return False
-    witnesses = (cache.k_hop(u, k) | cache.k_hop(v, k) | cache.k_hop(w, k)) - {u, v, w}
     contains = circle.contains
-    return not any(contains(pos[x]) for x in witnesses)
+    return not any(
+        contains(pos[x]) for x in witnesses if x != u and x != v and x != w
+    )
 
 
-def local_delaunay_graph(
-    udg: UnitDiskGraph,
-    k: int = 1,
-    *,
-    cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-) -> LDelResult:
+def is_k_localized_delaunay(udg: UnitDiskGraph, triangle: Triangle, k: int) -> bool:
+    """Whether ``triangle`` satisfies the k-localized Delaunay property.
+
+    Its circumcircle contains no vertex of ``N_k(u) ∪ N_k(v) ∪ N_k(w)``.
+    """
+    u, v, w = triangle
+    witnesses = (
+        udg.k_hop_neighborhood(u, k)
+        | udg.k_hop_neighborhood(v, k)
+        | udg.k_hop_neighborhood(w, k)
+    )
+    return _circle_empty_of(udg.positions, triangle, witnesses)
+
+
+def _filter_k_localized(
+    udg: UnitDiskGraph, candidates: Iterable[Triangle], k: int
+) -> list[Triangle]:
+    """The k-localized Delaunay triangles among ``candidates``, sorted.
+
+    :func:`is_k_localized_delaunay` over every candidate, with ``N_k``
+    computed once per vertex for the duration of the call: a vertex sits
+    in many candidates, and for ``k >= 2`` its breadth-first ball is the
+    dominant cost of the test.
+    """
+    hoods: dict[int, set[int]] = {}
+
+    def hood(u: int) -> set[int]:
+        found = hoods.get(u)
+        if found is None:
+            found = hoods[u] = udg.k_hop_neighborhood(u, k)
+        return found
+
+    pos = udg.positions
+    return sorted(
+        t
+        for t in candidates
+        if _circle_empty_of(pos, t, hood(t[0]) | hood(t[1]) | hood(t[2]))
+    )
+
+
+def local_delaunay_graph(udg: UnitDiskGraph, k: int = 1) -> LDelResult:
     """Construct LDel^k over the unit disk graph.
 
     Returns the graph (Gabriel edges plus localized-Delaunay-triangle
-    edges), the accepted triangles, and the Gabriel edge set.  Pass a
-    shared ``cache`` to reuse neighborhoods/circumcircles across
-    stages, and ``parallel`` to control the candidate fan-out (see
-    :func:`candidate_triangles`).
+    edges), the accepted triangles, and the Gabriel edge set.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cache = ConstructionCache.for_udg(udg, cache)
     accepted: Optional[tuple[Triangle, ...]] = None
-    if parallel is not True and k == 1:
-        arr = _soa_candidate_arrays(udg, cache)
+    if k == 1:
+        arr = _soa_candidate_arrays(udg)
         if arr is not None:
             mask = _soa_filter_k1(udg, arr)
             if mask is not None:
@@ -547,13 +492,8 @@ def local_delaunay_graph(
                 # the masked rows are already the sorted accepted list.
                 accepted = tuple(map(tuple, arr[mask].tolist()))
     if accepted is None:
-        candidates = candidate_triangles(
-            udg, cache=cache, parallel=parallel, max_workers=max_workers
-        )
-        accepted = tuple(
-            sorted(t for t in candidates if is_k_localized_delaunay(udg, t, k, cache))
-        )
-    gabriel = gabriel_graph(udg, cache=cache)
+        accepted = tuple(_filter_k_localized(udg, candidate_triangles(udg), k))
+    gabriel = gabriel_graph(udg)
     graph = Graph(udg.positions, gabriel.edges(), name=f"LDel{k}")
     graph.add_edges_bulk(
         pair for u, v, w in accepted for pair in ((u, v), (v, w), (u, w))
@@ -681,12 +621,7 @@ def resolve_degenerate_crossings(graph: Graph) -> Graph:
     return graph
 
 
-def planarize_ldel1(
-    udg: UnitDiskGraph,
-    ldel1: LDelResult,
-    *,
-    cache: Optional[ConstructionCache] = None,
-) -> LDelResult:
+def planarize_ldel1(udg: UnitDiskGraph, ldel1: LDelResult) -> LDelResult:
     """Algorithm 3 (centralized): drop crossing triangles, keep PLDel.
 
     For every pair of intersecting 1-localized Delaunay triangles, a
@@ -696,19 +631,16 @@ def planarize_ldel1(
 
     Candidate pairs come from a uniform grid over triangle bounding
     boxes; a cheap bounding-box overlap test then rejects most of them
-    before the nine-way segment-crossing test runs.  Circumcircles are
-    served from the shared ``cache`` (the k-localized filter already
-    computed every one of them).
+    before the nine-way segment-crossing test runs.
     """
     if ldel1.k != 1:
         raise ValueError("planarization applies to LDel^1")
-    cache = ConstructionCache.for_udg(udg, cache)
-    soa = _soa_planarize(udg, ldel1, cache)
+    soa = _soa_planarize(udg, ldel1)
     if soa is not None:
         return soa
     pos = udg.positions
     triangles = list(ldel1.triangles)
-    circles = [cache.circumcircle_of(t) for t in triangles]
+    circles = [circumcircle(pos[u], pos[v], pos[w]) for u, v, w in triangles]
     removed = [False] * len(triangles)
     boxes: list[tuple[float, float, float, float]] = []
     for u, v, w in triangles:
@@ -718,24 +650,17 @@ def planarize_ldel1(
         )
     edge_data = [_triangle_edges(pos, t) for t in triangles]
 
-    pairs = _nearby_triangle_pairs(pos, triangles, udg.radius)
-    tested = intersecting = 0
-    for i, j in pairs:
+    for i, j in _nearby_triangle_pairs(pos, triangles, udg.radius):
         bi, bj = boxes[i], boxes[j]
         if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
             continue  # disjoint bounding boxes cannot intersect
-        tested += 1
         if not _triangles_intersect(edge_data[i], edge_data[j]):
             continue
-        intersecting += 1
         ci, cj = circles[i], circles[j]
         if ci is not None and any(ci.contains(pos[x]) for x in triangles[j]):
             removed[i] = True
         if cj is not None and any(cj.contains(pos[x]) for x in triangles[i]):
             removed[j] = True
-    cache.count("triangle_pairs_candidate", len(pairs))
-    cache.count("triangle_pairs_tested", tested)
-    cache.count("triangle_pairs_intersecting", intersecting)
 
     survivors = tuple(t for t, gone in zip(triangles, removed) if not gone)
     graph = Graph(udg.positions, ldel1.gabriel_edges, name="PLDel")
@@ -752,20 +677,6 @@ def planarize_ldel1(
     )
 
 
-def planar_local_delaunay_graph(
-    udg: UnitDiskGraph,
-    *,
-    cache: Optional[ConstructionCache] = None,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-) -> LDelResult:
-    """Convenience: LDel^1 followed by Algorithm 3 planarization.
-
-    One :class:`ConstructionCache` is shared across both stages so the
-    planarization's circumcircle lookups are all hits.
-    """
-    cache = ConstructionCache.for_udg(udg, cache)
-    ldel1 = local_delaunay_graph(
-        udg, k=1, cache=cache, parallel=parallel, max_workers=max_workers
-    )
-    return planarize_ldel1(udg, ldel1, cache=cache)
+def planar_local_delaunay_graph(udg: UnitDiskGraph) -> LDelResult:
+    """Convenience: LDel^1 followed by Algorithm 3 planarization."""
+    return planarize_ldel1(udg, local_delaunay_graph(udg, k=1))

@@ -1,13 +1,16 @@
 """Tests for the CDS family builder and the paper's structural claims."""
 
+import random
 
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
 from repro.graphs.paths import is_connected
 from repro.graphs.planarity import is_planar_embedding
+from repro.graphs.quasi import QuasiUnitDiskGraph
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family, induced_udg_subgraph
 from repro.sim.messages import STATUS
+from repro.workloads.generators import uniform_points
 
 
 class TestFamilyStructure:
@@ -102,6 +105,19 @@ class TestInducedSubgraph:
         assert g.has_edge(0, 1) and g.has_edge(1, 2)
         assert not g.has_edge(0, 2)
         assert g.degree(3) == 0
+
+    def test_quasi_icds_keeps_gray_zone_links_dropped(self):
+        # ICDS is induced by the radio links, not by the distance rule:
+        # a gray-zone pair the quasi model dropped must not come back
+        # between two backbone nodes.
+        pts = uniform_points(600, 600.0, random.Random(3))
+        udg = QuasiUnitDiskGraph(
+            pts, 60.0, epsilon=0.6, keep_probability=0.5, link_seed=1
+        )
+        family = build_cds_family(udg, mode="fast")
+        backbone = family.backbone_nodes
+        radio = {(u, v) for u, v in udg.edges() if u in backbone and v in backbone}
+        assert family.icds.edge_set() == radio
 
 
 class TestFigure5Counterexample:

@@ -1,12 +1,10 @@
 """Equivalence tests for the hot-path optimizations.
 
-Every optimization in the construction pipeline — the per-UDG
-neighborhood/circumcircle cache, the parallel candidate fan-out, the
-circumcircle prefilter in the triangulator, the bulk grid pair
-enumeration — promises *bit-identical* output to the straightforward
-path.  These tests hold it to that on the inputs where shortcuts are
-most likely to diverge: random deployments, exact grids (cocircular
-quadruples everywhere), and collinear lines.
+The circumcircle prefilter in the triangulator, the lazy incidence map
+and the bulk grid pair enumeration all promise *bit-identical* output
+to the straightforward path.  These tests hold them to that on the
+inputs where shortcuts are most likely to diverge: random deployments,
+exact grids (cocircular quadruples everywhere), and collinear lines.
 """
 
 import math
@@ -14,100 +12,15 @@ import random
 
 import pytest
 
-from repro.core import compat
 from repro.geometry.primitives import Point, dist_sq
 from repro.geometry.triangulation import delaunay
 from repro.graphs.udg import GridIndex, UnitDiskGraph
-from repro.topology.construction_cache import ConstructionCache
-from repro.topology.ldel import (
-    candidate_triangles,
-    local_delaunay_graph,
-    planar_local_delaunay_graph,
-)
 
 
 def _random_udg(n=60, side=60.0, radius=18.0, seed=7):
     rng = random.Random(seed)
     pts = [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
     return UnitDiskGraph(pts, radius)
-
-
-def _grid_udg(rows=7, cols=7, spacing=1.0, radius=1.6):
-    pts = [Point(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
-    return UnitDiskGraph(pts, radius)
-
-
-def _collinear_udg(n=12, radius=2.5):
-    pts = [Point(float(i), 0.0) for i in range(n)]
-    return UnitDiskGraph(pts, radius)
-
-
-DEPLOYMENTS = {
-    "random": _random_udg,
-    "grid": _grid_udg,
-    "collinear": _collinear_udg,
-}
-
-
-@pytest.fixture(params=sorted(DEPLOYMENTS))
-def udg(request):
-    return DEPLOYMENTS[request.param]()
-
-
-class TestCachedEqualsUncached:
-    def test_ldel1_identical(self, udg):
-        plain = local_delaunay_graph(udg, k=1)
-        cached = local_delaunay_graph(udg, k=1, cache=ConstructionCache(udg))
-        assert plain.graph.edge_set() == cached.graph.edge_set()
-        assert plain.triangles == cached.triangles
-        assert plain.gabriel_edges == cached.gabriel_edges
-
-    def test_pldel_identical(self, udg):
-        plain = planar_local_delaunay_graph(udg)
-        cached = planar_local_delaunay_graph(udg, cache=ConstructionCache(udg))
-        assert plain.graph.edge_set() == cached.graph.edge_set()
-        assert plain.triangles == cached.triangles
-
-    def test_cache_actually_hit(self, udg):
-        # The k-hop cache is the *reference* path's memoization; the SoA
-        # kernels never consult it, so pin this test to the scalar path.
-        cache = ConstructionCache(udg)
-        with compat.numpy_disabled():
-            planar_local_delaunay_graph(udg, cache=cache)
-        snap = cache.snapshot()
-        assert snap["khop_hits"] > 0
-        # Every neighborhood and circumcircle computed at most once.
-        assert snap["khop_misses"] <= udg.node_count
-
-    def test_foreign_cache_rejected(self, udg):
-        other = _random_udg(seed=99)
-        cache = ConstructionCache(other)
-        # for_udg must not serve another graph's neighborhoods.
-        assert ConstructionCache.for_udg(udg, cache) is not cache
-        result = local_delaunay_graph(udg, k=1, cache=cache)
-        plain = local_delaunay_graph(udg, k=1)
-        assert result.graph.edge_set() == plain.graph.edge_set()
-
-
-class TestSerialEqualsParallel:
-    def test_candidates_identical(self, udg):
-        serial = candidate_triangles(udg, parallel=False)
-        parallel = candidate_triangles(
-            udg, parallel=True, max_workers=2, executor_mode="thread"
-        )
-        assert serial == parallel
-
-    def test_pldel_identical_parallel(self, udg):
-        serial = planar_local_delaunay_graph(udg, parallel=False)
-        parallel = planar_local_delaunay_graph(udg, parallel=True, max_workers=2)
-        assert serial.graph.edge_set() == parallel.graph.edge_set()
-        assert serial.triangles == parallel.triangles
-
-    def test_single_worker_degrades_to_serial(self, udg):
-        # workers < 2 must fall back rather than spin up a useless pool.
-        serial = candidate_triangles(udg, parallel=False)
-        forced = candidate_triangles(udg, parallel=True, max_workers=1)
-        assert serial == forced
 
 
 class TestDelaunayPrefilter:

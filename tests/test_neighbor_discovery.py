@@ -13,6 +13,15 @@ def tables_of(udg):
     return {u: frozenset(udg.neighbors(u)) for u in udg.nodes()}
 
 
+def changed_neighborhoods(old_udg, new_udg):
+    """Omniscient oracle: nodes whose neighbor set differs between UDGs."""
+    return frozenset(
+        u
+        for u in old_udg.nodes()
+        if old_udg.neighbors(u) != new_udg.neighbors(u)
+    )
+
+
 class TestStableNetwork:
     def test_no_churn_detected(self, deployment):
         udg = deployment.udg()
@@ -56,8 +65,6 @@ class TestChurnDetection:
 
     def test_matches_omniscient_diff(self, deployment):
         # The distributed detection equals the global neighborhood diff.
-        from repro.mobility.local_repair import changed_neighborhoods
-
         rng = random.Random(9)
         moved = [
             Point(p.x + rng.uniform(-20, 20), p.y + rng.uniform(-20, 20))

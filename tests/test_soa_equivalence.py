@@ -24,7 +24,7 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.incremental import IncrementalMaintainer
 from repro.incremental.events import Event
 from repro.sharding.build import sharded_pldel
-from repro.topology.ldel import planar_local_delaunay_graph
+from repro.topology.ldel import local_delaunay_graph, planar_local_delaunay_graph
 from repro.workloads.generators import connected_udg_instance
 
 pytestmark = pytest.mark.skipif(
@@ -102,6 +102,14 @@ class TestSerialPipeline:
         soa = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
         with compat.numpy_disabled():
             ref = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
+        _assert_same_result(soa, ref)
+
+    def test_ldel2_identical(self, points):
+        # k >= 2 runs the SoA candidates through the scalar k-hop filter;
+        # the reference generates the candidates in scalar code too.
+        soa = local_delaunay_graph(UnitDiskGraph(points, RADIUS), k=2)
+        with compat.numpy_disabled():
+            ref = local_delaunay_graph(UnitDiskGraph(points, RADIUS), k=2)
         _assert_same_result(soa, ref)
 
 
