@@ -1,434 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the construction hot path against the recorded baseline.
+"""Thin CLI wrapper: the hot-path benchmark and its tripwires.
 
-Times UDG / Gabriel / LDel^1 / planarization / full-backbone
-construction at the regression sizes and writes a machine-readable
-report with per-stage speedups versus ``baseline_hotpath.json``:
+The stages, their checks and the options live in
+:mod:`repro.experiments.hotpath_bench`:
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --sizes 200 --reps 3
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --stage pipeline=200 --reps 3
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --stage soa=1000,5000 --stage routing
     PYTHONPATH=src python benchmarks/bench_hotpath.py --write-baseline
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --sharded
-
-``--write-baseline`` (alias ``--record-baseline``) re-pins the
-baseline file from the current run, stamped with the current commit
-and schema (do this only on a commit whose timings you want future
-runs compared against); otherwise the report lands in
-``BENCH_hotpath.json``.  A missing or stale-schema baseline is a hard
-error (exit 2) unless you are recording one.
-
-``--sharded`` adds the tiled-vs-serial PLDel comparison from
-:mod:`repro.sharding` (sizes via ``--sharded-sizes``, tile count via
-``--shards``), recording the speedup and the bit-identical-edges
-tripwire.
-
-``--soa-sizes`` adds the construction-core stage: the array-native
-(SoA) pipeline against the pure-Python reference path (numpy masked
-out at runtime), with a bit-identical tripwire on every stage's edge
-set and both triangle lists.  ``--soa-scale N`` appends one large-n
-SoA construction with no reference pass — the "n = 10^5 on one box"
-probe.
-
-The backbone-fast stage runs by default (``--backbone-sizes`` to
-change the sizes, ``--skip-backbone`` to drop it): it times the
-message-passing protocol path against the direct-computation fast
-path and the sharded build, with a bit-identical tripwire on the
-dominator/connector/edge sets.  Any tripwire failure exits 1.
-
-The incremental stage also runs by default (``--incremental-sizes`` /
-``--skip-incremental``): it times per-step incremental maintenance
-against the from-scratch rebuild under single-node waypoint moves,
-with the rebuild-equivalence tripwire after the trace, and runs the
-long-trace acceptance check (``--incremental-trace-size`` /
-``--incremental-trace-steps``, bit-identity after every batch).
-
-The metrics stage also runs by default (``--metrics-sizes`` /
-``--skip-metrics``): it summarizes the full Table I topology family
-through the reference stretch implementation and through the
-:class:`~repro.core.oracle.DistanceOracle`, cold and warm, with a
-parity tripwire on every row/kind and an exactness tripwire on the
-pure-Python fallback.
-
-``--routing-sizes`` adds the batch-vs-scalar routing stage: the
-:class:`~repro.core.route_engine.RouteEngine` kernels (greedy /
-compass / GPSR over the UDG) and the backbone routing procedure
-(GPSR and oracle-backed shortest cores) against the scalar
-``routing/`` loops on the same pairs (``--routing-pairs``), with a
-blocking hop-for-hop path-identity tripwire
-(``--routing-identity-pairs``) and a shortest-mode length-parity
-tripwire.  Timings are informational; tripwire failures exit 1.
-
-``--step-summary`` appends a markdown table to the file
-``$GITHUB_STEP_SUMMARY`` points at (no-op when the variable is unset).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-from repro.experiments.hotpath_bench import (
-    BACKBONE_FAST_SIZES,
-    DEFAULT_RADIUS,
-    DEFAULT_SEED,
-    DEFAULT_SHARDS,
-    DEFAULT_SIZES,
-    INCREMENTAL_SIZES,
-    INCREMENTAL_STEPS,
-    INCREMENTAL_TRACE_SIZE,
-    INCREMENTAL_TRACE_STEPS,
-    METRICS_REPS,
-    METRICS_SIZES,
-    ROUTING_IDENTITY_PAIRS,
-    ROUTING_PAIRS,
-    ROUTING_SCALAR_PAIRS,
-    SHARDED_SIZES,
-    SOA_SIZES,
-    BaselineError,
-    baseline_from_report,
-    compare_metrics_to_baseline,
-    compare_routing_to_baseline,
-    default_baseline_path,
-    format_markdown,
-    format_report,
-    load_baseline_strict,
-    remediation_command,
-    run_backbone_fast_benchmark,
-    run_benchmark,
-    run_incremental_benchmark,
-    run_metrics_benchmark,
-    run_routing_benchmark,
-    run_sharded_benchmark,
-    run_soa_benchmark,
-)
-
-
-def _current_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        )
-        return out.stdout.strip() or "unknown"
-    except OSError:
-        return "unknown"
-
-
-def _write_step_summary(markdown: str) -> None:
-    """Append to the GitHub Actions job summary when available."""
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path:
-        return
-    with open(path, "a") as fh:
-        fh.write(markdown + "\n")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
-        help="deployment sizes to benchmark",
-    )
-    parser.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--reps", type=int, default=1,
-        help="timing repetitions per stage (minimum kept)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=default_baseline_path(),
-        help="baseline file to compare against",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_hotpath.json"),
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--write-baseline", "--record-baseline", action="store_true",
-        dest="write_baseline",
-        help="overwrite the baseline file with this run's timings, "
-        "stamped with the current commit and schema",
-    )
-    parser.add_argument(
-        "--sharded", action="store_true",
-        help="also run the sharded-vs-serial PLDel comparison",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=DEFAULT_SHARDS,
-        help="tile count for the sharded comparison",
-    )
-    parser.add_argument(
-        "--sharded-sizes", type=int, nargs="+", default=list(SHARDED_SIZES),
-        help="deployment sizes for the sharded comparison",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the sharded build (0 = auto)",
-    )
-    parser.add_argument(
-        "--soa-sizes", type=int, nargs="*", default=None,
-        help="run the SoA-vs-reference construction-core stage at these "
-        f"sizes (no argument = {list(SOA_SIZES)}; omit the flag to skip)",
-    )
-    parser.add_argument(
-        "--soa-scale", type=int, default=0,
-        help="also run one large-n SoA construction (no reference pass); "
-        "0 skips the scale probe",
-    )
-    parser.add_argument(
-        "--backbone-sizes", type=int, nargs="+",
-        default=list(BACKBONE_FAST_SIZES),
-        help="deployment sizes for the fast-vs-protocol backbone stage",
-    )
-    parser.add_argument(
-        "--skip-backbone", action="store_true",
-        help="skip the fast-vs-protocol backbone stage",
-    )
-    parser.add_argument(
-        "--metrics-sizes", type=int, nargs="+", default=list(METRICS_SIZES),
-        help="deployment sizes for the oracle-vs-reference metrics stage",
-    )
-    parser.add_argument(
-        "--skip-metrics", action="store_true",
-        help="skip the oracle-vs-reference metrics stage",
-    )
-    parser.add_argument(
-        "--metrics-reps", type=int, default=METRICS_REPS,
-        help="summarize passes per deployment in the metrics stage "
-        "(the sweep-round protocol; min 2)",
-    )
-    parser.add_argument(
-        "--incremental-sizes", type=int, nargs="+",
-        default=list(INCREMENTAL_SIZES),
-        help="deployment sizes for the incremental-vs-rebuild stage",
-    )
-    parser.add_argument(
-        "--incremental-steps", type=int, default=INCREMENTAL_STEPS,
-        help="timed single-move maintenance steps per size",
-    )
-    parser.add_argument(
-        "--skip-incremental", action="store_true",
-        help="skip the incremental-vs-rebuild maintenance stage",
-    )
-    parser.add_argument(
-        "--incremental-trace-size", type=int, default=INCREMENTAL_TRACE_SIZE,
-        help="deployment size for the long-trace acceptance run",
-    )
-    parser.add_argument(
-        "--incremental-trace-steps", type=int,
-        default=INCREMENTAL_TRACE_STEPS,
-        help="move batches in the long-trace acceptance run (0 skips it)",
-    )
-    parser.add_argument(
-        "--incremental-verify-every", type=int, default=1,
-        help="assert rebuild equivalence every k trace batches",
-    )
-    parser.add_argument(
-        "--routing-sizes", type=int, nargs="+", default=None,
-        help="run the batch-vs-scalar routing stage at these deployment "
-        "sizes (omit the flag to skip the stage)",
-    )
-    parser.add_argument(
-        "--routing-pairs", type=int, default=ROUTING_PAIRS,
-        help="(s, t) pairs routed per size in the routing stage",
-    )
-    parser.add_argument(
-        "--routing-scalar-pairs", type=int, default=ROUTING_SCALAR_PAIRS,
-        help="scalar-loop subset the per-pair scalar cost is measured on",
-    )
-    parser.add_argument(
-        "--routing-identity-pairs", type=int, default=ROUTING_IDENTITY_PAIRS,
-        help="pairs in the hop-for-hop path-identity tripwire subset",
-    )
-    parser.add_argument(
-        "--step-summary", action="store_true",
-        help="append a markdown summary to $GITHUB_STEP_SUMMARY",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = None
-    if not args.write_baseline:
-        try:
-            baseline = load_baseline_strict(args.baseline)
-        except BaselineError as exc:
-            fix = remediation_command(args.baseline)
-            print(f"error: {exc}", file=sys.stderr)
-            print(
-                f"to (re)pin the baseline on a known-good commit, run:\n  {fix}",
-                file=sys.stderr,
-            )
-            if args.step_summary:
-                _write_step_summary(
-                    "## Hot-path benchmark: baseline unusable\n\n"
-                    f"{exc}\n\n"
-                    "Re-pin it on a known-good commit:\n\n"
-                    f"```\n{fix}\n```"
-                )
-            return 2
-
-    report = run_benchmark(
-        args.sizes,
-        radius=args.radius,
-        seed=args.seed,
-        reps=args.reps,
-        baseline=baseline,
-        baseline_path=str(args.baseline),
-    )
-    if args.sharded:
-        report["sharded"] = run_sharded_benchmark(
-            args.sharded_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            shards=args.shards,
-            max_workers=args.workers or None,
-            reps=args.reps,
-        )
-    if args.soa_sizes is not None or args.soa_scale:
-        if args.soa_sizes:  # explicit sizes
-            soa_sizes = args.soa_sizes
-        elif args.soa_sizes is not None:  # bare --soa-sizes
-            soa_sizes = list(SOA_SIZES)
-        else:  # --soa-scale alone: scale probe only
-            soa_sizes = []
-        report["soa"] = run_soa_benchmark(
-            soa_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            reps=max(2, args.reps),
-            scale=args.soa_scale or None,
-        )
-    if not args.skip_backbone:
-        report["backbone_fast"] = run_backbone_fast_benchmark(
-            args.backbone_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            shards=args.shards,
-            max_workers=args.workers or None,
-            reps=args.reps,
-        )
-    if not args.skip_metrics:
-        report["metrics"] = run_metrics_benchmark(
-            args.metrics_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            reps=args.metrics_reps,
-        )
-        if baseline is not None:
-            report["metrics"]["vs_baseline"] = compare_metrics_to_baseline(
-                report["metrics"], baseline
-            )
-    if args.routing_sizes:
-        report["routing"] = run_routing_benchmark(
-            args.routing_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            pairs=args.routing_pairs,
-            scalar_pairs=args.routing_scalar_pairs,
-            identity_pairs=args.routing_identity_pairs,
-        )
-        if baseline is not None:
-            report["routing"]["vs_baseline"] = compare_routing_to_baseline(
-                report["routing"], baseline
-            )
-    if not args.skip_incremental:
-        report["incremental"] = run_incremental_benchmark(
-            args.incremental_sizes,
-            radius=args.radius,
-            seed=args.seed,
-            steps=args.incremental_steps,
-            reps=args.reps,
-            trace_size=args.incremental_trace_size,
-            trace_steps=args.incremental_trace_steps,
-            trace_verify_every=args.incremental_verify_every,
-        )
-
-    if args.write_baseline:
-        pinned = baseline_from_report(report, commit=_current_commit())
-        args.baseline.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
-        print(f"baseline re-pinned: {args.baseline}")
-
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(format_report(report))
-    print(f"\nreport written: {args.output}")
-    if args.step_summary:
-        _write_step_summary(format_markdown(report))
-
-    failures = []
-    failures += [
-        f"edge-count mismatch vs baseline at n={key}"
-        for key, entry in report.get("speedup", {}).items()
-        if not entry["edges_match"]
-    ]
-    failures += [
-        f"sharded edges differ from serial at n={key}"
-        for key, entry in report.get("sharded", {}).get("results", {}).items()
-        if not entry["edges_match"]
-    ]
-    failures += [
-        f"SoA construction differs from the pure-Python reference at n={key}"
-        for key, entry in report.get("soa", {}).get("results", {}).items()
-        if not entry["identical"]
-    ]
-    for key, entry in report.get("backbone_fast", {}).get("results", {}).items():
-        if not entry["identical"]:
-            failures.append(f"fast backbone differs from protocol at n={key}")
-        if not entry["sharded_identical"]:
-            failures.append(f"sharded backbone differs from protocol at n={key}")
-    metrics = report.get("metrics", {})
-    for key, entry in metrics.get("results", {}).items():
-        parity = entry["parity"]
-        if not parity["ok"]:
-            failures.append(
-                f"oracle stretch disagrees with reference at n={key} "
-                f"(avg rel err {parity['avg_rel_err']:.3e}, "
-                f"max rel err {parity['max_rel_err']:.3e}, "
-                f"pair counts exact: {parity['pair_counts_exact']})"
-            )
-    fallback = metrics.get("fallback")
-    if fallback and not fallback["exact"]:
-        failures.append(
-            f"pure-Python oracle fallback differs from reference at "
-            f"n={fallback['n']}"
-        )
-    routing = report.get("routing", {})
-    for key, entry in routing.get("results", {}).items():
-        ident = entry["identity"]
-        if not ident["ok"]:
-            failures.append(
-                f"batch routes diverge from scalar at n={key} "
-                f"({ident['mismatches']} of {ident['pairs']} pairs)"
-            )
-        sp = entry["shortest_parity"]
-        if not sp["ok"]:
-            failures.append(
-                f"oracle-backed shortest routing disagrees with Dijkstra "
-                f"reference at n={key} (max rel err {sp['max_rel_err']:.3e})"
-            )
-    incremental = report.get("incremental", {})
-    for key, entry in incremental.get("results", {}).items():
-        if not entry["identical"]:
-            failures.append(
-                f"incremental maintenance diverged from rebuild at n={key} "
-                f"(mismatches: {entry['mismatches']})"
-            )
-    trace = incremental.get("trace")
-    if trace and not trace["all_verified"]:
-        failures.append(
-            f"incremental trace lost rebuild equivalence "
-            f"({trace['verification_failures']} of {trace['verified_steps']} "
-            "checks failed)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAILED: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
+from repro.experiments.hotpath_bench import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -83,6 +83,13 @@ def normalize_path(path: str) -> str:
     return bare or "/"
 
 
+def _reject_constant(token: str) -> Any:
+    """``json.loads`` hook: ``NaN`` and ``±Infinity`` are not JSON numbers."""
+    from repro.service.server import ServiceError
+
+    raise ServiceError(400, f"invalid JSON body: {token} is not a finite number")
+
+
 def _parse_body(raw: Optional[bytes], *, optional: bool = False) -> Any:
     """Decode a JSON request body under the endpoint's body rules."""
     from repro.service.server import ServiceError
@@ -94,7 +101,7 @@ def _parse_body(raw: Optional[bytes], *, optional: bool = False) -> Any:
     if len(raw) > MAX_BODY:
         raise ServiceError(413, "request body too large")
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ServiceError(400, f"invalid JSON body: {exc}") from None
 

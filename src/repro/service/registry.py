@@ -14,6 +14,8 @@ module needs to cross a process boundary.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
@@ -432,6 +434,26 @@ def available_pipelines() -> list[dict]:
 # -- scenarios ---------------------------------------------------------------
 
 
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a float; :class:`RegistryError` unless a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RegistryError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise RegistryError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _radius(value: Any) -> float:
+    radius = _finite(value, "radius")
+    if radius <= 0.0:
+        raise RegistryError(f"radius must be positive, got {value!r}")
+    return radius
+
+
 def resolve_scenario(spec: Mapping[str, Any]) -> Deployment:
     """Turn a scenario document into a concrete :class:`Deployment`.
 
@@ -444,6 +466,13 @@ def resolve_scenario(spec: Mapping[str, Any]) -> Deployment:
     * generator recipe: ``{"generator": "uniform", "nodes": 100,
       "radius": 60, "side": 200, "seed": 0}`` — deterministic in the
       seed, mirroring the CLI's sampling loop.
+
+    Client-supplied values are checked here, once, for every pipeline
+    and build path: each point is a pair of finite real numbers,
+    ``radius`` and ``side`` are finite and ``radius`` is positive.
+    Anything else raises :class:`RegistryError` (a 400 at the service
+    boundary) instead of failing, or silently isolating nodes, inside
+    a construction kernel.
     """
     if not isinstance(spec, Mapping):
         raise RegistryError("scenario must be a JSON object")
@@ -452,12 +481,20 @@ def resolve_scenario(spec: Mapping[str, Any]) -> Deployment:
             raise RegistryError("explicit-points scenario requires 'radius'")
         from repro.geometry.primitives import Point
 
-        points = tuple(Point(float(x), float(y)) for x, y in spec["points"])
-        radius = float(spec["radius"])
-        side = float(spec.get("side", 0.0))
+        raw = spec["points"]
+        if not isinstance(raw, (list, tuple)):
+            raise RegistryError("'points' must be a list of [x, y] pairs")
+        points = []
+        for i, pair in enumerate(raw):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise RegistryError(f"point {i} must be an [x, y] pair, got {pair!r}")
+            x, y = _finite(pair[0], f"point {i} x"), _finite(pair[1], f"point {i} y")
+            points.append(Point(x, y))
+        radius = _radius(spec["radius"])
+        side = _finite(spec.get("side", 0.0), "side")
         if not side and points:
             side = max(max(p.x for p in points), max(p.y for p in points))
-        return Deployment(points=points, side=side, radius=radius)
+        return Deployment(points=tuple(points), side=side, radius=radius)
     if "corpus" in spec:
         from repro.workloads.corpus import get_instance
 
@@ -468,10 +505,13 @@ def resolve_scenario(spec: Mapping[str, Any]) -> Deployment:
         except KeyError:
             raise RegistryError(f"unknown corpus entry {name!r}") from None
     if "generator" in spec or "nodes" in spec:
-        nodes = int(spec.get("nodes", 100))
-        side = float(spec.get("side", 200.0))
-        radius = float(spec.get("radius", 60.0))
-        seed = int(spec.get("seed", 0))
+        try:
+            nodes = int(spec.get("nodes", 100))
+            seed = int(spec.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise RegistryError("'nodes' and 'seed' must be integers") from None
+        side = _finite(spec.get("side", 200.0), "side")
+        radius = _radius(spec.get("radius", 60.0))
         generator = str(spec.get("generator", "uniform"))
         try:
             return connected_udg_instance(

@@ -532,6 +532,42 @@ class TestFrontCacheInvalidation:
             assert after["nodes"] == TENANTS[1]["nodes"]
 
 
+_POINTS = "[[0, 0], [10, 0], [0, 10], [12, 9]]"
+
+
+class TestMalformedScenarios:
+    """Input no pipeline can serve is a 400 with a reason on every
+    build path, never a 200 with isolated nodes or a 500."""
+
+    @pytest.mark.parametrize("body", [
+        '{"pipeline": "udg", "scenario": {"points": [[0, 0], [NaN, 5]], "radius": 20}}',
+        '{"pipeline": "udg", "scenario": {"points": [[0, 0], [Infinity, 5]], "radius": 20}}',
+        '{"pipeline": "udg", "scenario": {"points": %s, "radius": 0}}' % _POINTS,
+        '{"pipeline": "udg", "scenario": {"points": %s, "radius": -1}}' % _POINTS,
+        '{"pipeline": "udg", "scenario": {"points": [[0, 0, 0], [10, 0, 0]], "radius": 20}}',
+        '{"pipeline": "udg", "scenario": {"points": [["a", "b"], ["10", "0"]], "radius": 20}}',
+        '{"pipeline": "backbone", "scenario": {"points": [[0, 0], [NaN, 5]], "radius": 20}}',
+        # Overflows to inf inside json.loads, past the NaN/Infinity hook.
+        '{"pipeline": "udg", "scenario": {"points": [[0, 0], [1e400, 5]], "radius": 20}}',
+        '{"pipeline": "udg", "scenario": {"nodes": 10, "radius": NaN}}',
+    ], ids=[
+        "nan", "infinity", "radius-0", "radius-neg", "3-tuple", "string",
+        "backbone-nan", "overflow", "generator-nan-radius",
+    ])
+    def test_build_rejects_with_400(self, body):
+        from repro.service.dispatch import dispatch
+
+        service = SpannerService(executor_mode="serial")
+        try:
+            errors = service.metrics.counter("server.errors").value
+            response = dispatch(service, "POST", "/build", body.encode())
+            assert response.status == 400
+            assert json.loads(response.encode())["error"]
+            assert service.metrics.counter("server.errors").value == errors
+        finally:
+            service.close()
+
+
 class TestDeploymentPlacement:
     def test_deployments_pin_to_worker_zero(self):
         """All /deployments traffic lands on worker 0 — the store's
