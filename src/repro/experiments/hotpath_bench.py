@@ -335,15 +335,26 @@ def measure_soa_scale(dep: Deployment, clock: Clock) -> Row:
     )
 
 
-def _same_backbone(result: Any, reference: Any) -> bool:
-    """Bit-identity of the structures two backbone builds produced."""
-    return (
+def _same_backbone(result: Any, reference: Any, *, ledgers: bool = True) -> bool:
+    """Bit-identity of the structures two backbone builds produced.
+
+    With ``ledgers`` the per-node, per-kind message ledgers at the
+    three accounting boundaries (``stats_cds``, ``stats_icds``,
+    ``stats_ldel``) must match too; the sharded build carries none.
+    """
+    same = (
         result.dominators == reference.dominators
         and result.connectors == reference.connectors
         and result.cds.edge_set() == reference.cds.edge_set()
         and result.icds.edge_set() == reference.icds.edge_set()
         and result.ldel_icds.edge_set() == reference.ldel_icds.edge_set()
         and result.ldel_icds_prime.edge_set() == reference.ldel_icds_prime.edge_set()
+    )
+    if not (same and ledgers):
+        return same
+    return all(
+        getattr(result, name).per_node_kind == getattr(reference, name).per_node_kind
+        for name in ("stats_cds", "stats_icds", "stats_ldel")
     )
 
 
@@ -355,7 +366,8 @@ def measure_backbone_fast(dep: Deployment, clock: Clock) -> Row:
     sharded build take the best of ``reps``.  ``identical`` and
     ``sharded_identical``: dominator set, connector set, and all four
     certified edge sets must match the protocol path bit-for-bit, or
-    the speedup is a bug.
+    the speedup is a bug; ``identical`` also holds the fast path's
+    three message ledgers to the protocol's.
     """
     from repro.sharding.build import sharded_backbone
 
@@ -382,7 +394,7 @@ def measure_backbone_fast(dep: Deployment, clock: Clock) -> Row:
         edges={"fast": fast.ldel_icds.edge_count},
         checks={
             "identical": _same_backbone(fast, protocol),
-            "sharded_identical": _same_backbone(sharded, protocol),
+            "sharded_identical": _same_backbone(sharded, protocol, ledgers=False),
         },
         info={
             "shards": SHARDS,

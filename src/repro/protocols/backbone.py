@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
@@ -54,6 +54,30 @@ class BackbonePipelineResult:
     @property
     def udg(self) -> UnitDiskGraph:
         return self.family.udg
+
+
+def backbone_spanners(
+    udg: UnitDiskGraph,
+    backbone: Sequence[int],
+    sub_graph: Graph,
+    dominators_of: Mapping[int, Iterable[int]],
+) -> tuple[Graph, Graph]:
+    """LDel(ICDS) and LDel(ICDS') over ``udg``'s original node ids.
+
+    ``sub_graph`` is the planar graph built over the backbone sub-UDG,
+    whose node ``i`` is ``backbone[i]``; LDel(ICDS') adds every
+    dominatee's links to its dominators.
+    """
+    ldel_icds = Graph(
+        udg.positions,
+        ((backbone[u], backbone[v]) for u, v in sub_graph.edges()),
+        name="LDel(ICDS)",
+    )
+    ldel_icds_prime = Graph(udg.positions, ldel_icds.edges(), name="LDel(ICDS')")
+    ldel_icds_prime.add_edges_bulk(
+        (dominatee, d) for dominatee, doms in dominators_of.items() for d in doms
+    )
+    return ldel_icds, ldel_icds_prime
 
 
 def run_backbone_pipeline(
@@ -99,14 +123,9 @@ def run_backbone_pipeline(
         ldel_outcome = run_ldel_protocol(sub_udg)
     ldel_seconds = time.perf_counter() - ldel_started
 
-    # Map the protocol output back to original node ids.
-    ldel_icds = Graph(udg.positions, name="LDel(ICDS)")
-    for u, v in ldel_outcome.graph.edges():
-        ldel_icds.add_edge(backbone[u], backbone[v])
-    ldel_icds_prime = Graph(udg.positions, ldel_icds.edges(), name="LDel(ICDS')")
-    for dominatee, doms in family.clustering.dominators_of.items():
-        for d in doms:
-            ldel_icds_prime.add_edge(dominatee, d)
+    ldel_icds, ldel_icds_prime = backbone_spanners(
+        udg, backbone, ldel_outcome.graph, family.clustering.dominators_of
+    )
 
     stats_ldel = stats_icds.copy()
     for (sub_id, kind), count in ldel_outcome.stats.per_node_kind.items():

@@ -63,6 +63,7 @@ from repro.geometry.circle import circumcircle
 from repro.geometry.primitives import Point
 from repro.graphs.graph import Graph
 from repro.graphs.udg import UnitDiskGraph
+from repro.protocols.backbone import backbone_spanners
 from repro.protocols.cds import build_cds_family
 from repro.protocols.clustering import ClusteringOutcome
 from repro.sharding.tiles import TileGrid, stage_halo
@@ -393,16 +394,35 @@ def tile_observer(callback: Callable[[str, dict], None]):
         _TILE_OBSERVER.reset(token)
 
 
+#: Fewest points a tiled deployment needs before a ``"process"`` build
+#: fans its tiles out to worker processes; smaller ones run their
+#: tiles in this process.  Each pooled phase pays pool start-up and
+#: pickling, and its exiting workers compete with the next phase.
+#: Measured on a 2-vCPU VM with the hot-path bench's deployments
+#: (uniform, side 10·√n, radius 25, 4 tiles; median of 9-11
+#: interleaved runs, pooled vs in-process): sharded PLDel ties below
+#: n=1000 (n=500: 0.216 vs 0.217 s) and pools win from n=2000 (0.500
+#: vs 0.633 s); the sharded backbone, whose election and sub-backbone
+#: tiles carry less work per point, runs in-process faster at n=500
+#: (0.266 vs 0.156 s) and n=1000 (0.441 vs 0.282 s).
+PROCESS_MIN_NODES = 1000
+
+
 def _run_tiles(
     payloads: Sequence[tuple],
     worker,
     *,
+    nodes: int,
     executor_mode: str,
     max_workers: Optional[int],
     stats: ShardingStats,
     phase: str,
 ) -> list[dict]:
-    """Fan tile payloads over the batch executor; serial when tiny."""
+    """Fan tile payloads over the batch executor; serial when tiny.
+
+    ``nodes`` is the size of the tiled deployment: a ``"process"``
+    build of fewer than :data:`PROCESS_MIN_NODES` points runs serially.
+    """
     from repro.service.executor import default_workers, run_batch
 
     observer = _TILE_OBSERVER.get()
@@ -423,6 +443,8 @@ def _run_tiles(
 
     workers = max_workers or default_workers()
     mode = executor_mode if (workers > 1 and len(payloads) > 1) else "serial"
+    if mode == "process" and nodes < PROCESS_MIN_NODES:
+        mode = "serial"
     t0 = time.perf_counter()
     batch = run_batch(
         list(payloads), worker,
@@ -522,7 +544,7 @@ def _sharded_phase_a(
     payloads = _phase_a_payloads(grid, points, radius, k, stages, halo_cells)
     stats.phase_seconds["assign"] = time.perf_counter() - t0
     results = _run_tiles(
-        payloads, _phase_a,
+        payloads, _phase_a, nodes=len(points),
         executor_mode=executor_mode, max_workers=max_workers,
         stats=stats, phase="build",
     )
@@ -552,7 +574,7 @@ def _sharded_election(
         grid, pts, udg.radius, 1, (), stage_halo("election")
     )
     results = _run_tiles(
-        payloads, _election_worker,
+        payloads, _election_worker, nodes=udg.node_count,
         executor_mode=executor_mode, max_workers=max_workers,
         stats=stats, phase="election",
     )
@@ -690,7 +712,7 @@ def sharded_pldel(
     survivors: list[Triangle] = []
     if payloads:
         results = _run_tiles(
-            payloads, _contest_worker,
+            payloads, _contest_worker, nodes=len(points),
             executor_mode=executor_mode, max_workers=max_workers,
             stats=stats, phase="contest",
         )
@@ -781,13 +803,9 @@ def sharded_backbone(
     stats.count("election_certified", certified)
     stats.count("election_unresolved", unresolved)
 
-    ldel_icds = Graph(udg.positions, name="LDel(ICDS)")
-    for u, v in sub_result.graph.edges():
-        ldel_icds.add_edge(backbone[u], backbone[v])
-    ldel_icds_prime = Graph(udg.positions, ldel_icds.edges(), name="LDel(ICDS')")
-    for dominatee, doms in family.clustering.dominators_of.items():
-        for d in doms:
-            ldel_icds_prime.add_edge(dominatee, d)
+    ldel_icds, ldel_icds_prime = backbone_spanners(
+        udg, backbone, sub_result.graph, family.clustering.dominators_of
+    )
 
     result = ShardedBackboneResult(
         udg=udg,

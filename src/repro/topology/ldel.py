@@ -76,10 +76,12 @@ def _node_candidates(
 ) -> list[Triangle]:
     """Triangles node ``u`` proposes from ``Del(N_1(u))``.
 
-    Shared by the scalar path, the SoA kernel's fallback queries, the
-    sharded build and the LDel protocol oracle, so all produce the same
-    triangles by construction.  ``local`` is the sorted 1-hop
-    neighborhood of ``u`` (including ``u``).
+    The scalar reference of the lockstep kernel below: with numpy it
+    runs only for the kernel's fallback queries (duplicate coordinates,
+    the empty-cavity anomaly); otherwise it serves the no-numpy paths
+    of :func:`candidate_triangles`, the sharded build and
+    :func:`repro.protocols.ldel_fast.fast_ldel_protocol`.  ``local`` is
+    the sorted 1-hop neighborhood of ``u`` (including ``u``).
     """
     if len(local) < 3:
         return []
@@ -121,7 +123,12 @@ _SOA_CHUNK = 8192
 
 
 def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
-    """Candidate triples for one block of query nodes; (K, 3) int64."""
+    """Proposals of one block of query nodes.
+
+    Returns ``(triples, owners)``: the (K, 3) int64 ascending triples
+    and, per row, the node of ``qs`` that proposed it.  Rows are not
+    deduplicated; callers do that.
+    """
     from repro.core.soa import gather_csr_rows
     from repro.geometry.triangulation import delaunay_stars_batch
 
@@ -143,7 +150,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
     iu = np.nonzero(self_flag[order])[0] - base  # local index of q
 
     res = delaunay_stars_batch(xs, ys, indptr_q, members_flat)
-    parts = []
+    parts, owners = [], []
     if res.owner.shape[0]:
         own = res.owner
         la, lb, lc = res.tris[:, 0], res.tris[:, 1], res.tris[:, 2]
@@ -185,6 +192,7 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
         keep &= accept
         if keep.any():
             parts.append(np.stack([ga[keep], gb[keep], gc[keep]], axis=1))
+            owners.append(u_arr[keep])
 
     for q in res.fallback.tolist():
         u = int(qs[q])
@@ -192,9 +200,32 @@ def _soa_candidate_chunk(np, snap, pos, r_sq, qs):
         tris = _node_candidates(pos, r_sq, u, local)
         if tris:
             parts.append(np.array(tris, dtype=np.int64))
+            owners.append(np.full(len(tris), u, dtype=np.int64))
     if not parts:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(parts, axis=0)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty.reshape(0, 3), empty
+    return np.concatenate(parts, axis=0), np.concatenate(owners)
+
+
+def _soa_candidate_blocks(np, snap, udg: UnitDiskGraph, node_ids=None):
+    """Yield :func:`_soa_candidate_chunk` output block by block.
+
+    ``node_ids`` restricts the proposing nodes; default is every node.
+    Nodes with fewer than two neighbours propose nothing and are
+    skipped.
+    """
+    r_sq = udg.radius * udg.radius
+    pos = udg.positions
+    if node_ids is None:
+        queries = np.arange(snap.n, dtype=np.int64)
+    else:
+        queries = np.asarray(sorted(node_ids), dtype=np.int64)
+    deg = snap.indptr[queries + 1] - snap.indptr[queries]
+    eligible = queries[deg >= 2]  # m = deg + 1 >= 3
+    for s in range(0, eligible.shape[0], _SOA_CHUNK):
+        yield _soa_candidate_chunk(
+            np, snap, pos, r_sq, eligible[s: s + _SOA_CHUNK]
+        )
 
 
 def _soa_candidate_arrays(
@@ -205,7 +236,9 @@ def _soa_candidate_arrays(
     ``node_ids`` restricts the proposing nodes (the sharded build
     passes each tile's proposer set); default is every node.  The
     triple set equals the union of :func:`_node_candidates` over the
-    same nodes — fallback queries literally run it.
+    same nodes — fallback queries literally run it.  Each block's
+    owner column is dropped as soon as the block is produced, so the
+    dense PLDel build never holds it.
     """
     from repro.core.compat import get_numpy
     from repro.core.soa import snapshot_for
@@ -217,22 +250,11 @@ def _soa_candidate_arrays(
     if snap is None:
         return None
     n = snap.n
-    r_sq = udg.radius * udg.radius
-    pos = udg.positions
-    if node_ids is None:
-        queries = np.arange(n, dtype=np.int64)
-    else:
-        queries = np.asarray(sorted(node_ids), dtype=np.int64)
-    deg = snap.indptr[queries + 1] - snap.indptr[queries]
-    eligible = queries[deg >= 2]  # m = deg + 1 >= 3
-
-    parts = []
-    for s in range(0, eligible.shape[0], _SOA_CHUNK):
-        part = _soa_candidate_chunk(
-            np, snap, pos, r_sq, eligible[s: s + _SOA_CHUNK]
-        )
-        if part.shape[0]:
-            parts.append(part)
+    parts = [
+        tris
+        for tris, _ in _soa_candidate_blocks(np, snap, udg, node_ids)
+        if tris.shape[0]
+    ]
     if not parts:
         return np.zeros((0, 3), dtype=np.int64)
     allt = np.concatenate(parts, axis=0)

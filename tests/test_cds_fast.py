@@ -6,7 +6,7 @@ message-passing protocols exactly — same sets, same certified edges,
 same round counts, same per-node/per-kind message ledgers.  This suite
 pins that claim over the sharding deployments (random, degenerate
 grid, collinear, tile-boundary-straddling, dense) plus ID-permuted
-variants, and adds the Lemma 3 property test (constant messages per
+variants, on the SoA kernels and with numpy masked out, and adds the Lemma 3 property test (constant messages per
 node on the protocol path, independent of n at fixed density).
 """
 
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import compat
 from repro.core.spanner import build_backbone
 from repro.graphs.udg import UnitDiskGraph
 from repro.protocols.cds import build_cds_family
@@ -68,6 +69,15 @@ def deployment(request):
     return UnitDiskGraph([tuple(p) for p in cases[request.param]], RADIUS)
 
 
+def assert_same_ldel(fast, protocol) -> None:
+    assert fast.graph.edge_set() == protocol.graph.edge_set()
+    assert fast.graph.name == protocol.graph.name
+    assert fast.triangles == protocol.triangles
+    assert fast.gabriel_edges == protocol.gabriel_edges
+    assert fast.rounds == protocol.rounds
+    assert_same_stats(fast.stats, protocol.stats)
+
+
 class TestFastClustering:
     @pytest.mark.parametrize("priority", sorted(PRIORITIES))
     def test_bit_identical(self, deployment, priority):
@@ -109,21 +119,91 @@ class TestFastConnectors:
             fast_connectors(udg, fast_clustering(udg), election="coin-flip")
 
 
+@st.composite
+def degenerate_points(draw):
+    """Small deployments built to push the lockstep kernel to its
+    scalar fallback queries and exact predicates: duplicate
+    coordinates, exactly cocircular grids, collinear runs, and all of
+    it shifted by 1e15 (coordinate ulp 0.125), ids shuffled."""
+    spacing = draw(st.sampled_from([10.0, 12.5, 17.0, 20.0]))
+    pts = []
+    if draw(st.booleans()):
+        cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        pts += [(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
+    if draw(st.booleans()):
+        y = draw(st.sampled_from([0.0, 5.0, 30.0]))
+        pts += [(i * spacing, y) for i in range(draw(st.integers(3, 8)))]
+    pts += draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12)
+    )
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=4))  # duplicates
+    offset = draw(st.sampled_from([0.0, 1e15]))
+    pts = draw(st.permutations(pts))
+    return [(float(x) + offset, float(y) + offset) for x, y in pts]
+
+
 class TestFastLDel:
     def test_bit_identical(self, deployment):
-        protocol = run_ldel_protocol(deployment)
-        fast = fast_ldel_protocol(deployment)
-        assert fast.graph.edge_set() == protocol.graph.edge_set()
-        assert fast.graph.name == protocol.graph.name
-        assert fast.triangles == protocol.triangles
-        assert fast.gabriel_edges == protocol.gabriel_edges
-        assert fast.rounds == protocol.rounds
-        assert_same_stats(fast.stats, protocol.stats)
+        assert_same_ldel(fast_ldel_protocol(deployment), run_ldel_protocol(deployment))
+
+    def test_bit_identical_without_numpy(self, deployment):
+        with compat.numpy_disabled():
+            fast = fast_ldel_protocol(deployment)
+        assert_same_ldel(fast, run_ldel_protocol(deployment))
+
+    @pytest.mark.parametrize("path", ["soa", "no-numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(points=degenerate_points())
+    def test_bit_identical_on_degenerate_input(self, path, points):
+        udg = UnitDiskGraph(points, RADIUS)
+        if path == "soa":
+            fast = fast_ldel_protocol(udg)
+        else:
+            with compat.numpy_disabled():
+                fast = fast_ldel_protocol(udg)
+        assert_same_ldel(fast, run_ldel_protocol(udg))
+
+    @pytest.mark.skipif(compat.np is None, reason="requires numpy")
+    def test_kernel_proposes_without_per_node_triangulation(self, monkeypatch):
+        """On general-position input every proposal comes from the
+        lockstep kernel: a silent fall-back to the per-node scalar loop
+        would call ``_node_candidates`` once per node."""
+        import repro.protocols.ldel_fast as ldel_fast
+        import repro.topology.ldel as ldel
+
+        calls = []
+        scalar = ldel._node_candidates
+
+        def counting(*args):
+            calls.append(args[2])
+            return scalar(*args)
+
+        monkeypatch.setattr(ldel, "_node_candidates", counting)
+        monkeypatch.setattr(ldel_fast, "_node_candidates", counting)
+        udg = UnitDiskGraph([tuple(p) for p in DEPLOYMENTS["random"]()], RADIUS)
+        outcome = fast_ldel_protocol(udg)
+        assert outcome.triangles
+        assert calls == []
+        # Duplicate coordinates are the kernel's fallback case, so the
+        # counter does see scalar queries when they are due.
+        dup = UnitDiskGraph(list(udg.positions) + [udg.positions[0]], RADIUS)
+        fast_ldel_protocol(dup)
+        assert calls
 
 
 class TestFastPipeline:
     @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
     def test_full_pipeline_bit_identical(self, deployment, election):
+        self._check_pipeline(deployment, election)
+
+    @pytest.mark.parametrize("election", ["smallest-id", "first-response"])
+    def test_full_pipeline_bit_identical_without_numpy(self, deployment, election):
+        with compat.numpy_disabled():
+            self._check_pipeline(deployment, election)
+
+    @staticmethod
+    def _check_pipeline(deployment, election):
         points = [tuple(p) for p in deployment.positions]
         protocol = build_backbone(points, RADIUS, election=election)
         fast = build_backbone(points, RADIUS, election=election, mode="fast")

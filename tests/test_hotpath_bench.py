@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core.spanner import build_backbone
 from repro.experiments import hotpath_bench as hb
 
 TINY = 40
@@ -21,6 +22,17 @@ def test_every_stage_passes_its_checks_at_tiny_size(name):
     assert all(row["checks"].values()), row["checks"]
     for key, factor in row["speedup"].items():
         assert factor > 0 and key in row["reference_seconds"]
+
+
+def test_backbone_tripwire_compares_the_message_ledgers():
+    dep = hb.deployment(TINY)
+    fast = build_backbone(dep.points, dep.radius, mode="fast")
+    other = build_backbone(dep.points, dep.radius, mode="fast")
+    assert hb._same_backbone(fast, other)
+    node = next(iter(other.stats_ldel.per_node))
+    other.stats_ldel.record(node, "Location")
+    assert not hb._same_backbone(fast, other)
+    assert hb._same_backbone(fast, other, ledgers=False)
 
 
 def _args(tmp_path, *extra):

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+import repro.sharding.build as sharding_build
 from repro.core.spanner import build_backbone
 from repro.geometry.primitives import Point
 from repro.graphs.udg import UnitDiskGraph
@@ -171,6 +172,26 @@ class TestThreadFanout:
         assert result.graph.edge_set() == serial.graph.edge_set()
         assert result.triangles == serial.triangles
         assert stats.workers == 2
+
+
+class TestProcessThreshold:
+    """Default ("process") builds pool their tiles only when the
+    deployment is large enough to repay the pool's start-up."""
+
+    def test_small_deployment_runs_in_process(self):
+        points = _dense_points()
+        assert len(points) < sharding_build.PROCESS_MIN_NODES
+        _, stats = sharded_pldel(points, RADIUS, shards=4, max_workers=2)
+        assert (stats.mode, stats.workers) == ("serial", 1)
+
+    def test_threshold_gates_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sharding_build, "PROCESS_MIN_NODES", len(_dense_points()))
+        points = _dense_points()
+        serial = planar_local_delaunay_graph(UnitDiskGraph(points, RADIUS))
+        result, stats = sharded_pldel(points, RADIUS, shards=4, max_workers=2)
+        # "thread" when the sandbox cannot start worker processes.
+        assert stats.mode in ("process", "thread")
+        assert result.graph.edge_set() == serial.graph.edge_set()
 
 
 class TestShardingStats:
